@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.engine.oom import check_cnn_memory
 from repro.engine.perf import CNNStepModel
 from repro.engine.poplar import PoplarResNetEngine
-from repro.errors import ConfigError
+from repro.errors import ConfigError, OutOfMemoryError
 from repro.hardware.systems import SYSTEM_TAGS, get_system
 from repro.models.resnet import CNNConfig, get_cnn_preset
 
@@ -80,7 +80,7 @@ def _ipu_cell(tag: str, model: CNNConfig, devices: int, gbs: int) -> HeatmapCell
     engine = PoplarResNetEngine(node, model, replicas=devices)
     try:
         engine.check_memory()
-    except Exception:
+    except OutOfMemoryError:
         return HeatmapCell(devices, gbs, None, oom=True)
     return HeatmapCell(devices, gbs, engine.images_per_second(gbs))
 

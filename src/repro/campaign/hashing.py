@@ -121,12 +121,14 @@ def step_fingerprint(step: Step) -> str:
 
 
 def calibration_fingerprint() -> str:
-    """Hash of every calibration constant plus the package version."""
+    """Hash of every calibration constant, the package version and the
+    model revision."""
     from repro.engine.calibration import CALIBRATIONS
-    from repro.version import __version__
+    from repro.version import MODEL_REVISION, __version__
 
     state = {
         "version": __version__,
+        "model_revision": MODEL_REVISION,
         "calibrations": {
             tag: dataclasses.asdict(cal) for tag, cal in sorted(CALIBRATIONS.items())
         },

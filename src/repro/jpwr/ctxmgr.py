@@ -75,6 +75,8 @@ class MeasuredScope:
         self.dropped_samples = 0
         self.anomalous_samples = 0
         self._labels: list[str] = []
+        #: Per method: its column labels in frame order, and as a set.
+        self._method_labels: list[tuple[list[str], frozenset[str]]] = []
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
@@ -82,15 +84,18 @@ class MeasuredScope:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Initialise methods, build columns, begin sampling."""
+        """Initialise methods, fix the column order, begin sampling."""
         for method in self.methods:
             method.init()
         self._labels = []
+        self._method_labels = []
         for method in self.methods:
-            for label in method.labels():
+            labels = method.labels()
+            for label in labels:
                 if label in self._labels:
                     raise MeasurementError(f"duplicate measurement label {label!r}")
                 self._labels.append(label)
+            self._method_labels.append((labels, frozenset(labels)))
         self.df = DataFrame([TIME_COLUMN, *self._labels])
         self.sample()  # one sample at scope entry, as the real tool does
         if not self.manual:
@@ -139,22 +144,31 @@ class MeasuredScope:
         paper reports — is always discarded (counted in
         :attr:`anomalous_samples`) so one bogus reading cannot poison
         the trapezoidal energy integration.
+
+        Values are appended by position in the column order fixed by
+        :meth:`start`; a read whose keys differ from its method's
+        labels raises :class:`MeasurementError`.
         """
-        row: dict[str, float] = {TIME_COLUMN: self.clock()}
+        now = self.clock()
         try:
-            for method in self.methods:
-                row.update(method.read())
+            readings = [method.read() for method in self.methods]
         except MeasurementError:
             if self.on_error == "raise":
                 raise
             self.dropped_samples += 1
             return
-        for label, value in row.items():
-            if label != TIME_COLUMN and not math.isfinite(value):
-                self.anomalous_samples += 1
-                return
+        values = [now]
+        for reading, (labels, label_set) in zip(readings, self._method_labels):
+            if reading.keys() != label_set:
+                raise MeasurementError(
+                    f"read keys {sorted(reading)} differ from labels {sorted(label_set)}"
+                )
+            values.extend(map(reading.__getitem__, labels))
+        if not all(map(math.isfinite, values[1:])):
+            self.anomalous_samples += 1
+            return
         with self._lock:
-            self.df.add_row(row)
+            self.df.append_values(values)
 
     # -- results ---------------------------------------------------------------
 

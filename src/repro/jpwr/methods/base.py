@@ -9,9 +9,7 @@ be constructed against an explicit registry.
 
 from __future__ import annotations
 
-import abc
 import math
-
 
 from repro.errors import MeasurementError
 from repro.hardware.accelerator import Vendor
@@ -49,22 +47,28 @@ def get_active_registry() -> DeviceRegistry:
     return _ACTIVE_REGISTRY
 
 
-class PowerMethod(abc.ABC):
+class PowerMethod:
     """One measurement backend.
 
-    Subclasses define :attr:`vendor` (device filter) and may override
-    :meth:`labels_for` and :meth:`additional_data`.  ``read()`` returns
-    the instantaneous power per measured quantity, keyed by a stable
-    column label; those labels become DataFrame columns.
+    Subclasses define :attr:`vendor` (device filter), :attr:`label_prefix`
+    and :attr:`scale`, and may override :meth:`devices`, :meth:`read` and
+    :meth:`additional_data`.  ``read()`` returns the instantaneous power
+    per measured quantity, keyed by a stable column label; those labels
+    become DataFrame columns.
     """
 
     #: CLI name, overridden by subclasses.
     name: str = "base"
     #: Vendor whose devices this method measures.
     vendor: Vendor | None = None
+    #: Column label of device ``i`` is ``f"{label_prefix}{i}"``.
+    label_prefix: str = "dev"
+    #: Reporting granularity: reads are truncated to 1/``scale`` watts.
+    scale: float = 1.0
 
     def __init__(self, registry: DeviceRegistry | None = None) -> None:
         self._registry = registry
+        self._channels: list[tuple[str, SimulatedDevice]] | None = None
 
     @property
     def registry(self) -> DeviceRegistry:
@@ -77,23 +81,37 @@ class PowerMethod(abc.ABC):
             return list(self.registry)
         return self.registry.by_vendor(self.vendor)
 
+    def channels(self) -> list[tuple[str, SimulatedDevice]]:
+        """``(label, device)`` pairs, enumerated once and then reused."""
+        if self._channels is None:
+            self._channels = [(f"{self.label_prefix}{d.index}", d) for d in self.devices()]
+        return self._channels
+
     def init(self) -> None:
-        """Hook called once when measurement starts.
+        """Hook called once when measurement starts: enumerates devices.
 
         Raises MeasurementError when the method has nothing to measure,
         matching real jpwr failing fast on an absent vendor library.
         """
-        if not self.devices():
+        self._channels = None
+        if not self.channels():
             raise MeasurementError(f"method {self.name!r}: no matching devices")
 
-    @abc.abstractmethod
     def read(self) -> dict[str, float]:
-        """Instantaneous power per label, in watts."""
+        """Instantaneous power per label, in watts, at the backend's
+        reporting granularity."""
+        scale = self.scale
+        return {label: quantize(dev.read_power_w(), scale) for label, dev in self.channels()}
 
     def additional_data(self) -> dict[str, DataFrame]:
         """Extra per-method DataFrames returned by ``scope.energy()``."""
         return {}
 
     def labels(self) -> list[str]:
-        """Column labels this method produces (order of ``read()``)."""
+        """Column labels this method produces (order of ``read()``).
+
+        Discovered from one read, as the real tool takes its columns
+        from the first sample; the read is a real one (it draws sensor
+        noise and consults the fault seams like any other).
+        """
         return list(self.read())

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from repro.hardware.accelerator import Vendor
 from repro.jpwr.frame import DataFrame
-from repro.jpwr.methods.base import PowerMethod, quantize
+from repro.jpwr.methods.base import PowerMethod
 
 
 class GcIpuInfoMethod(PowerMethod):
@@ -16,13 +16,9 @@ class GcIpuInfoMethod(PowerMethod):
 
     name = "gcipuinfo"
     vendor = Vendor.GRAPHCORE
-
-    def read(self) -> dict[str, float]:
-        """Per-IPU power in watts (gcipuinfo reports tenths of a watt)."""
-        out: dict[str, float] = {}
-        for dev in self.devices():
-            out[f"ipu{dev.index}"] = quantize(dev.read_power_w(), 10.0)
-        return out
+    #: Per-IPU power; gcipuinfo reports tenths of a watt.
+    label_prefix = "ipu"
+    scale = 10.0
 
     def additional_data(self) -> dict[str, DataFrame]:
         """Board temperatures -- gcipuinfo exposes them; the simulation

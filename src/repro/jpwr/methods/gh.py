@@ -32,24 +32,22 @@ class GraceHopperMethod(PowerMethod):
 
     name = "gh"
     vendor = Vendor.NVIDIA
+    label_prefix = "gh_module"
+    #: hwmon exposes microwatt files.
+    scale = 1e6
 
     def devices(self) -> list[SimulatedDevice]:
         """Only superchip packages have GH hwmon nodes."""
         return [d for d in super().devices() if d.spec.form_factor == "superchip"]
 
     def read(self) -> dict[str, float]:
-        """Module and CPU rails per superchip, in watts.
-
-        hwmon exposes microwatt files; the division reproduces that
-        precision.
-        """
+        """Module and CPU rails per superchip, in watts (one device read
+        feeds both columns)."""
         out: dict[str, float] = {}
-        for dev in self.devices():
+        for label, dev in self.channels():
             package_w = dev.read_power_w()
-            module = quantize(package_w, 1e6)
-            cpu = quantize(package_w * _CPU_SHARE, 1e6)
-            out[f"gh_module{dev.index}"] = module
-            out[f"gh_cpu{dev.index}"] = cpu
+            out[label] = quantize(package_w, self.scale)
+            out[f"gh_cpu{dev.index}"] = quantize(package_w * _CPU_SHARE, self.scale)
         return out
 
     def additional_data(self) -> dict[str, DataFrame]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.hardware.accelerator import Vendor
 from repro.jpwr.frame import DataFrame
-from repro.jpwr.methods.base import PowerMethod, quantize
+from repro.jpwr.methods.base import PowerMethod
 
 
 class PynvmlMethod(PowerMethod):
@@ -19,17 +19,10 @@ class PynvmlMethod(PowerMethod):
 
     name = "pynvml"
     vendor = Vendor.NVIDIA
-
-    def read(self) -> dict[str, float]:
-        """Per-GPU instantaneous power in watts.
-
-        NVML reports integer milliwatts; the truncation is reproduced
-        so sampled values carry the same quantisation as real data.
-        """
-        out: dict[str, float] = {}
-        for dev in self.devices():
-            out[f"gpu{dev.index}"] = quantize(dev.read_power_w(), 1000.0)
-        return out
+    label_prefix = "gpu"
+    #: NVML reports integer milliwatts; the truncation is reproduced so
+    #: sampled values carry the same quantisation as real data.
+    scale = 1000.0
 
     def additional_data(self) -> dict[str, DataFrame]:
         """NVML total-energy counters (converted to Wh) per GPU."""

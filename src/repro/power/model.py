@@ -172,3 +172,36 @@ def power_model_for_device(
     idle_w = min(idle_w, max_w)
     gamma = 0.85 if spec.kind is AcceleratorKind.IPU else 0.9
     return PowerModel(idle_watts=idle_w, max_watts=max_w, gamma=gamma)
+
+
+#: Share of the Grace CPU TDP that the GH200 package counter attributes
+#: to the superchip (the hwmon CPU rail reads ~60-90 W under load).
+GRACE_HOST_SHARE = 0.3
+
+
+def power_model_for_node(node) -> PowerModel:
+    """The power model of one logical device of a Table I ``node``.
+
+    The one rule every energy accountant uses (the jpwr virtual sensors
+    and the cluster's analytic ledger), so both integrate the same
+    watts:
+
+    * the node's per-package TDP (Table I's "TDP / device", which
+      differs per GH200 node) instead of the accelerator spec's;
+    * on superchips, :data:`GRACE_HOST_SHARE` of the Grace TDP folded
+      into the package as measurable host share, split across the
+      package's logical devices, because the paper's package counter
+      includes the CPU;
+    * the node's ``power_cap_watts`` (set by
+      :func:`repro.power.dvfs.apply_power_cap`), if any.
+    """
+    accelerator = node.accelerator
+    host_share = 0.0
+    if accelerator.form_factor == "superchip":
+        host_share = node.cpu.tdp_watts * GRACE_HOST_SHARE / accelerator.logical_devices
+    return power_model_for_device(
+        accelerator,
+        package_tdp_watts=node.package_tdp_watts,
+        host_share_watts=host_share,
+        cap_watts=getattr(node, "power_cap_watts", None),
+    )

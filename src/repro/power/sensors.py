@@ -16,20 +16,22 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.errors import MeasurementError
 from repro.faults.injector import get_injector
 from repro.hardware.accelerator import AcceleratorSpec
-from repro.power.model import PowerModel, power_model_for_device
+from repro.power.model import PowerModel, power_model_for_device, power_model_for_node
 
 
-@dataclass(frozen=True)
-class SensorReading:
-    """One instantaneous read: timestamp, power, accumulated energy."""
+class SensorReading(NamedTuple):
+    """One instantaneous read: timestamp, power, accumulated energy.
+
+    A named tuple rather than a dataclass: one is built per device per
+    sample, which makes it the hottest allocation of a measured run.
+    """
 
     time_s: float
     power_w: float
@@ -47,6 +49,8 @@ class SimulatedDevice:
         The accelerator spec (used for names and the default model).
     model:
         Power model; defaults to the calibrated model for ``spec``.
+        The model is fixed at construction: the device caches
+        ``model.power(u)`` for its current utilisation.
     clock:
         Zero-argument callable returning seconds; defaults to
         ``time.monotonic``.
@@ -75,6 +79,9 @@ class SimulatedDevice:
         self._rng = np.random.default_rng(seed if seed is not None else index)
         self._lock = threading.Lock()
         self._util = 0.0
+        # model.power(self._util), refreshed whenever the utilisation
+        # changes; reads and energy accrual reuse it.
+        self._power_w = self.model.power(self._util)
         self._energy_j = 0.0
         self._last_update_s = self.clock()
         self.healthy = True
@@ -95,9 +102,12 @@ class SimulatedDevice:
         """
         if not 0.0 <= utilisation <= 1.0:
             raise ValueError(f"utilisation must be in [0,1], got {utilisation}")
+        util = float(utilisation)
+        power_w = self.model.power(util)
         with self._lock:
             self._accrue_locked()
-            self._util = float(utilisation)
+            self._util = util
+            self._power_w = power_w
 
     def fail(self) -> None:
         """Mark the sensor unhealthy; subsequent reads raise.
@@ -127,7 +137,7 @@ class SimulatedDevice:
             raise MeasurementError(f"{self.name}: sensor read failed")
         with self._lock:
             now = self._accrue_locked()
-            power = self.model.power(self._util)
+            power = self._power_w
             if self.noise_fraction > 0:
                 power *= 1.0 + self.noise_fraction * float(self._rng.standard_normal())
                 power = max(power, 0.0)
@@ -141,7 +151,7 @@ class SimulatedDevice:
                 power = max(power + magnitude, 0.0)
             else:  # sensor_nan
                 power = float("nan")
-        return SensorReading(time_s=now, power_w=power, energy_j=energy_j)
+        return SensorReading(now, power, energy_j)
 
     def read_power_w(self) -> float:
         """Instantaneous power only (what nvml's power read returns)."""
@@ -161,7 +171,8 @@ class SimulatedDevice:
         now = self.clock()
         dt = now - self._last_update_s
         if dt > 0:
-            self._energy_j += self.model.energy(self._util, dt)
+            # Exactly PowerModel.energy(util, dt): power(util) * dt.
+            self._energy_j += self._power_w * dt
             self._last_update_s = now
         return now
 
@@ -213,25 +224,13 @@ class DeviceRegistry:
         """Build the registry of one Table I node.
 
         Logical devices are enumerated the way the OS would (8 for the
-        MI250 node); GH200 devices get the Grace host share folded into
-        their power model because the paper's package counter includes
-        the CPU.  A node carrying ``power_cap_watts`` (built via
-        :func:`repro.power.dvfs.apply_power_cap`) gets models that
-        saturate at the cap instead of the calibrated max.
+        MI250 node); every device gets :func:`power_model_for_node`'s
+        model (GH200 packages include the Grace host share, a capped
+        node saturates at its cap).
         """
         registry = cls()
-        host_share = 0.0
-        if node.accelerator.form_factor == "superchip":
-            # The GH200 hwmon CPU rail reads ~60-90 W under load;
-            # attribute 30 % of the Grace TDP as measurable host share.
-            host_share = node.cpu.tdp_watts * 0.3 / node.accelerator.logical_devices
+        model = power_model_for_node(node)
         for i in range(node.logical_devices_per_node):
-            model = power_model_for_device(
-                node.accelerator,
-                package_tdp_watts=node.package_tdp_watts,
-                host_share_watts=host_share,
-                cap_watts=getattr(node, "power_cap_watts", None),
-            )
             registry.add(
                 SimulatedDevice(
                     i,

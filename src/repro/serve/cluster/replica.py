@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.engine.inference import InferenceEngine
 from repro.errors import ConfigError
-from repro.power.model import power_model_for_device
+from repro.power.model import power_model_for_node
 from repro.serve.arrivals import Request
 from repro.serve.queue import AdmissionQueue
 from repro.serve.scheduler import ContinuousBatchScheduler
@@ -161,10 +161,7 @@ class Replica:
         self.index = index
         self.engine = engine
         self.role = role
-        self.power_model = power_model_for_device(
-            engine.node.accelerator,
-            cap_watts=engine.node.power_cap_watts,
-        )
+        self.power_model = power_model_for_node(engine.node)
         self.queue = AdmissionQueue(queue_capacity)
         self.scheduler = ContinuousBatchScheduler(
             engine, batch_cap=batch_cap, kv_bytes_cache=kv_bytes_cache

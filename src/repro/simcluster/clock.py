@@ -28,9 +28,9 @@ class VirtualClock:
             return self._now
 
     # Allow passing the clock object itself wherever a clock *callable*
-    # is expected (sensors take ``clock: Callable[[], float]``).
-    def __call__(self) -> float:
-        return self.now()
+    # is expected (sensors take ``clock: Callable[[], float]``).  An
+    # alias rather than a forwarding method: every sensor read calls it.
+    __call__ = now
 
     def advance(self, duration_s: float) -> float:
         """Advance time by a non-negative duration; returns new time."""

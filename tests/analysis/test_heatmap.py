@@ -117,3 +117,28 @@ class TestRendering:
 
         with pytest.raises(ConfigError):
             best_cell([[HeatmapCell(1, 16, None, oom=True)]])
+
+
+class TestIpuCellErrors:
+    """Only the SRAM check's OOM becomes an OOM cell."""
+
+    def test_oom_becomes_an_oom_cell(self, monkeypatch):
+        from repro.engine.poplar import PoplarResNetEngine
+        from repro.errors import OutOfMemoryError
+
+        def out_of_sram(self, micro_batch=16):
+            raise OutOfMemoryError("micro-batch does not fit")
+
+        monkeypatch.setattr(PoplarResNetEngine, "check_memory", out_of_sram)
+        grid = fig4_heatmap("GC200", batch_sizes=(64,))
+        assert all(cell.oom for cell in grid[0])
+
+    def test_other_errors_propagate(self, monkeypatch):
+        from repro.engine.poplar import PoplarResNetEngine
+
+        def broken(self, micro_batch=16):
+            raise ZeroDivisionError("engine bug")
+
+        monkeypatch.setattr(PoplarResNetEngine, "check_memory", broken)
+        with pytest.raises(ZeroDivisionError, match="engine bug"):
+            fig4_heatmap("GC200", batch_sizes=(64,))
