@@ -651,6 +651,21 @@ def run_bench(sizes: tuple[int, ...], workdir: Path, quick: bool = True) -> dict
     }
 
 
+def write_report(out: Path, report: dict) -> None:
+    """Merge this bench's report into ``out``, keeping what others added.
+
+    The file is shared: ``bench_powercap.py`` attaches its ``powercap``
+    headline and ``powercap_*`` keys, which a campaign-scale re-run
+    must not drop (its gate reads them next).  This bench's own keys
+    and headlines replace their previous values.
+    """
+    merged = json.loads(out.read_text()) if out.exists() else {}
+    headline = {**merged.get("headline", {}), **report["headline"]}
+    merged.update(report)
+    merged["headline"] = headline
+    out.write_text(json.dumps(merged, indent=2) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -684,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
     report["quick"] = quick
     report["provenance"] = provenance(Path(__file__).resolve().parent.parent)
     out = Path(args.out)
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(out, report)
     print(f"\nwrote {out}")
     headline = report["headline"]
     for name, item in headline.items():

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import shlex
 
+from repro.errors import ConfigError, JubeError
 from repro.jube.parameters import substitute
 from repro.jube.runner import WorkItem, WorkResult
+from repro.obs.metrics import get_metrics
 from repro.serve.streams import (
     KIND_POISSON,
     KIND_SESSION,
@@ -38,6 +40,16 @@ SERVE_OPERATIONS = ("llm_serve", "llm_serve_cluster")
 
 #: Default number of configurations per batched worker dispatch.
 DEFAULT_BATCH_SIZE = 16
+
+#: Counter of work items stream planning skipped as malformed.
+STREAM_PLAN_SKIPPED_COUNTER = "campaign_stream_plan_skipped_total"
+
+#: What planning a malformed item raises: an unresolved or cyclic
+#: substitution (``JubeError``), an unparseable token or number
+#: (``ValueError``), a missing ``--rate`` (``KeyError``), an empty
+#: command (``IndexError``) or an invalid stream spec (``ConfigError``).
+#: Anything else is a bug and propagates.
+_PLAN_ERRORS = (JubeError, ValueError, KeyError, IndexError, ConfigError)
 
 
 def parse_operation(command: str) -> tuple[str, dict[str, str]]:
@@ -98,22 +110,23 @@ def _spec_from_args(name: str, args: dict[str, str]) -> ArrivalStreamSpec:
 def stream_spec_for_item(item: WorkItem) -> ArrivalStreamSpec | None:
     """The arrival stream a planned workpackage will consume, or None.
 
-    Returns None for items with no serve operation, for serve
-    operations with malformed arguments (execution will surface the
-    real error), and never raises: stream planning is an optimization
-    and must not fail a campaign.
+    Returns None for items with no serve operation, and for operations
+    that fail to plan with one of the errors a malformed item raises
+    (execution will surface the real error): stream planning is an
+    optimization and must not fail a campaign.  Each such skip counts
+    on :data:`STREAM_PLAN_SKIPPED_COUNTER`, once per inspection.
     """
     for template in item.step.operations:
         try:
-            command = substitute(template, item.parameters)
-            name, args = parse_operation(command)
-        except Exception:  # noqa: BLE001 — planning is best-effort
-            return None
-        if name in SERVE_OPERATIONS:
-            try:
+            name, args = parse_operation(substitute(template, item.parameters))
+            if name in SERVE_OPERATIONS:
                 return _spec_from_args(name, args)
-            except Exception:  # noqa: BLE001
-                return None
+        except _PLAN_ERRORS:
+            get_metrics().counter(
+                STREAM_PLAN_SKIPPED_COUNTER,
+                "work items stream planning skipped as malformed",
+            ).inc(step=item.step.name)
+            return None
     return None
 
 

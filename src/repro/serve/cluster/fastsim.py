@@ -15,18 +15,27 @@ Three mechanisms, each provably output-preserving:
   pops the earliest, running the *same fixed handler order* the
   reference runs per iteration — so same-time ties break identically,
   and stale or duplicate entries are harmless no-op iterations.
-* **Fused decode runs**: between two queue-changing events a replica's
-  batch membership is provably constant (admissions happen only in
-  ``_dispatch`` at event boundaries, evictions only at completions),
-  so up to ``steps_to_next_completion`` decode steps collapse into one
-  scheduled run.  Step boundaries are reproduced bit-exactly with a
-  sequential ``np.add.accumulate`` (a left fold, exactly the scalar
-  ``t += dt`` chain), and the per-step energy shares fold into the
-  replica's incremental cursor the same way.  A run never extends past
-  the first step boundary at or after the next *potential* queue
-  change (next arrival, any in-flight KV-transfer completion, any
-  prefill-pool phase end), which is exactly when the reference could
-  admit new work mid-stream.
+* **Fused decode runs, bounded per replica**: a replica's batch
+  membership is constant between its own admissions and completions,
+  so a run fuses decode steps up to the batch's next completion
+  (:meth:`~repro.serve.scheduler.ContinuousBatchScheduler.steps_to_next_completion`).
+  The bound is lazy: ``_offer`` cuts the run only when a request lands
+  on *that* replica, at the first step boundary at or after the offer
+  -- the step in flight finishes and admission resumes at its end,
+  exactly when the reference could first admit.  Only the first
+  request into an empty queue cuts: a head that was already queued
+  when the run began never fits the constant batch, and a full batch
+  admits nothing, so neither needs a cut.  Nothing else the loop reads
+  (load, acceptance, prefix caches, queue lengths, phase utilisation)
+  changes inside a run.  **Tie rule:** a cut boundary equal to the
+  offer time is one the reference finished this iteration, so the run
+  closes in place and ``_dispatch`` admits in the same iteration, in
+  index order; such a boundary is intermediate, so nothing is evicted.
+  Step boundaries and the per-step busy time, energy and cursor shares
+  are folded once per run, when it closes, with a sequential
+  ``np.add.accumulate`` or scalar loop (a left fold, exactly the
+  reference's ``t += dt`` chain).  A cut leaves the old end time in the
+  heap as a stale entry.
 * **Vectorized KV admission**: per-request KV reservations come from
   one :class:`~repro.serve.soa.RequestTable` multiply, cached into
   every replica's scheduler.
@@ -57,9 +66,6 @@ _FUSED_DECODE = "decode-run"
 #: array allocation; crossover measured at roughly a hundred steps).
 _SCALAR_STEPS = 128
 
-#: "No bound": the fused run is limited only by the next completion.
-_NO_BOUND = float("inf")
-
 
 class _FastClusterLoop(_ClusterLoop):
     """The heap-driven, run-fusing drop-in for ``_ClusterLoop``."""
@@ -77,8 +83,8 @@ class _FastClusterLoop(_ClusterLoop):
             replica.scheduler.kv_bytes_cache = kv_cache
         self.events = EventHeap()
         self._decode_cache: dict[int, float] = {}
-        #: Steps of each in-flight fused run, by replica index.
-        self._run_steps: dict[int, int] = {}
+        #: Each replica's in-flight fused run, or None.
+        self._runs: list[_Run | None] = [None] * len(self.replicas)
         self._decode_power = self.replicas[0].power_model.power(self.util_decode)
         # Last armed time per event source, to avoid duplicate pushes.
         self._armed_arrival: float | None = None
@@ -153,33 +159,27 @@ class _FastClusterLoop(_ClusterLoop):
 
     # -- fused decode runs ---------------------------------------------------
 
-    def _run_bound(self) -> float:
-        """Earliest future event that could add work to a busy replica.
+    def _offer(self, replica: Replica, request: Request, now: float) -> None:
+        """Queue the request, cutting the replica's fused run if it can admit.
 
-        New queue entries come only from arrivals (routing) and KV
-        transfer deliveries; new transfers are created only when a
-        prefill-pool phase ends.  A fused run that does not extend past
-        the first step boundary at or after this time can never miss a
-        mid-run admission the reference would have made.
+        Only the first request into an empty queue can change what the
+        replica does next: a queue that was non-empty when the run began
+        has a head the constant batch can never fit, and any later offer
+        during the run finds the run already cut.
         """
-        bound = _NO_BOUND
-        if self.pending:
-            bound = self.pending[0].arrival_s
-        for transfer in self.transfers:
-            if transfer.done_at_s < bound:
-                bound = transfer.done_at_s
-        if self.sim.disaggregation is not None:
-            for replica in self.replicas:
-                if (
-                    replica.role is ReplicaRole.PREFILL
-                    and replica.busy_until_s is not None
-                    and replica.busy_until_s < bound
-                ):
-                    bound = replica.busy_until_s
-        return bound
+        was_empty = not len(replica.queue)
+        replica.queue.offer(request)
+        run = self._runs[replica.index]
+        if (
+            was_empty
+            and run is not None
+            and run.cuttable
+            and replica.busy_until_s > now
+        ):
+            self._cut(replica, run, now)
 
     def _begin_decode(self, replica: Replica, now: float) -> None:
-        """Schedule one fused decode run instead of a single step."""
+        """Schedule one fused decode run up to the batch's next completion."""
         scheduler = replica.scheduler
         active = scheduler.active
         batch = len(active)
@@ -187,69 +187,23 @@ class _FastClusterLoop(_ClusterLoop):
         if step_s is None:
             step_s = self.sim.engine.decode_step_time_s(batch)
             self._decode_cache[batch] = step_s
-        remaining = min(
-            seq.request.generate_tokens - seq.generated for seq in active
-        )
-        # A full batch admits nothing at intermediate step boundaries
-        # (``fits`` is False at the cap regardless of the queue), so
-        # the run can extend straight to the next completion.
-        bound = (
-            _NO_BOUND if batch >= scheduler.batch_cap else self._run_bound()
-        )
-        power = self._decode_power
         replica.account_to(now)
-        if bound == _NO_BOUND and remaining > _SCALAR_STEPS:
-            # Long uninterruptible run: one numpy left fold per series.
-            # ``np.add.accumulate`` accumulates strictly left-to-right,
-            # bit-identical to the scalar ``t += dt`` / ``x += v``
-            # chains the reference loop performs.
-            arr = np.empty(remaining + 1, dtype=np.float64)
-            arr[0] = now
-            arr[1:] = step_s
-            ts = np.add.accumulate(arr)
-            steps = remaining
-            t_end = float(ts[steps])
-            first_t = float(ts[1])
-            dts = np.diff(ts)
-            energies_j = power * dts
-            shares = (energies_j / JOULES_PER_WH) / batch
-            replica.busy_s = _fold(replica.busy_s, dts)
-            replica.busy_energy_j = _fold(replica.busy_energy_j, energies_j)
-            replica.decode_cursor_wh = _fold(
-                replica.decode_cursor_wh, shares
-            )
-        else:
-            # Scalar walk, stopping at the first step boundary at or
-            # past the bound: the step in flight when the bound event
-            # fires still finishes, and admissions resume at its end,
-            # exactly like the reference.
-            busy_s = replica.busy_s
-            busy_j = replica.busy_energy_j
-            cursor = replica.decode_cursor_wh
-            t = now
-            steps = 0
-            while steps < remaining:
-                t1 = t + step_s
-                dt = t1 - t
-                energy_j = power * dt
-                busy_s += dt
-                busy_j += energy_j
-                cursor += (energy_j / JOULES_PER_WH) / batch
-                t = t1
-                steps += 1
-                if t1 >= bound:
-                    break
-            t_end = t
-            first_t = now + step_s
-            replica.busy_s = busy_s
-            replica.busy_energy_j = busy_j
-            replica.decode_cursor_wh = cursor
-        replica.decode_steps += steps
-        replica.last_active_s = t_end
-        replica._accounted_until_s = t_end  # the fold closed the gap
-        replica.busy_until_s = t_end
-        replica.phase = (now, t_end, self.util_decode, _FUSED_DECODE, ())
-        self._run_steps[replica.index] = steps
+        run = _Run(
+            now,
+            step_s,
+            batch,
+            scheduler.steps_to_next_completion(),
+            # A full batch admits nothing at intermediate step
+            # boundaries (``fits`` is False at the cap regardless of
+            # the queue), so its run is never cut.
+            batch < scheduler.batch_cap,
+        )
+        self._runs[replica.index] = run
+        t_end = now
+        for _ in range(run.steps):
+            t_end += step_s  # the reference's step-boundary chain
+        self._end_run_at(replica, run, t_end)
+        first_t = now + step_s
         for seq in active:
             if seq.first_token_s is None:
                 # First decode step these sequences participate in:
@@ -257,12 +211,85 @@ class _FastClusterLoop(_ClusterLoop):
                 # reference applies inside step_completed.
                 seq.first_token_s = first_t
 
+    def _cut(self, replica: Replica, run: "_Run", now: float) -> None:
+        """End the run at its first step boundary at or after ``now``.
+
+        The step in flight when the request arrived still finishes and
+        admissions resume at its end, exactly like the reference.  When
+        that boundary is ``now`` itself the reference has already
+        finished the step this iteration, so the run closes in place and
+        ``_dispatch`` admits in the same iteration, in index order.  The
+        boundary is then intermediate (a run ending at ``now`` was closed
+        by ``_phase_completions``), so nothing is evicted.
+        """
+        step_s = run.step_s
+        t = run.t0
+        steps = 0
+        while True:
+            t += step_s  # the reference's step-boundary chain
+            steps += 1
+            if t >= now:
+                break
+        run.steps = steps
+        self._end_run_at(replica, run, t)
+        if t == now:
+            self._finish_run(replica)
+
+    def _end_run_at(self, replica: Replica, run: "_Run", t_end: float) -> None:
+        """Present the run as one busy phase ending at ``t_end``."""
+        replica.last_active_s = t_end
+        replica._accounted_until_s = t_end  # the run's busy time covers it
+        replica.busy_until_s = t_end
+        replica.phase = (run.t0, t_end, self.util_decode, _FUSED_DECODE, ())
+
+    def _fold_accounting(self, replica: Replica, run: "_Run") -> None:
+        """Fold the run's steps into the replica's busy time and energy.
+
+        Runs once per run, when it closes: nothing reads these totals
+        while a run is in flight, so a cut only shortens ``run.steps``.
+        Every series is a left fold in the reference's per-step
+        operation order, bit-identical to its step-by-step chain.
+        """
+        power = self._decode_power
+        steps = run.steps
+        if steps > _SCALAR_STEPS:
+            # ``np.add.accumulate`` accumulates strictly left-to-right,
+            # bit-identical to the scalar ``t += dt`` / ``x += v``
+            # chains the reference loop performs.
+            arr = np.empty(steps + 1, dtype=np.float64)
+            arr[0] = run.t0
+            arr[1:] = run.step_s
+            dts = np.diff(np.add.accumulate(arr))
+            energies_j = power * dts
+            shares = (energies_j / JOULES_PER_WH) / run.batch
+            replica.busy_s = _fold(replica.busy_s, dts)
+            replica.busy_energy_j = _fold(replica.busy_energy_j, energies_j)
+            replica.decode_cursor_wh = _fold(replica.decode_cursor_wh, shares)
+            return
+        step_s = run.step_s
+        batch = run.batch
+        busy_s = replica.busy_s
+        busy_j = replica.busy_energy_j
+        cursor = replica.decode_cursor_wh
+        t = run.t0
+        for _ in range(steps):
+            t1 = t + step_s
+            dt = t1 - t
+            energy_j = power * dt
+            busy_s += dt
+            busy_j += energy_j
+            cursor += (energy_j / JOULES_PER_WH) / batch
+            t = t1
+        replica.busy_s = busy_s
+        replica.busy_energy_j = busy_j
+        replica.decode_cursor_wh = cursor
+
     def _phase_completions(self, now: float) -> None:
         """Finish due phases: fused runs here, prefills as in reference."""
         for replica in self.replicas:
             if replica.busy_until_s is None or replica.busy_until_s > now:
                 continue
-            if replica.phase is not None and replica.phase[3] == _FUSED_DECODE:
+            if self._runs[replica.index] is not None:
                 self._finish_run(replica)
                 continue
             # A prefill phase (the fast path never schedules bare
@@ -276,7 +303,11 @@ class _FastClusterLoop(_ClusterLoop):
     def _finish_run(self, replica: Replica) -> None:
         """Close one fused run: bulk token bookkeeping, then evictions."""
         t1 = replica.busy_until_s
-        steps = self._run_steps.pop(replica.index)
+        run = self._runs[replica.index]
+        self._runs[replica.index] = None
+        self._fold_accounting(replica, run)
+        steps = run.steps
+        replica.decode_steps += steps
         replica.busy_until_s = None
         replica.phase = None
         for seq in replica.scheduler.active:
@@ -289,6 +320,26 @@ class _FastClusterLoop(_ClusterLoop):
             )
             self.finished.append((seq, t1, replica.index))
             self._observe_completion(seq, t1)
+
+
+class _Run:
+    """One in-flight fused decode run.
+
+    ``steps`` is the run's current length: the steps to the batch's
+    next completion when it begins, fewer once a cut shortens it.
+    ``cuttable`` is False for a full batch, which no offer can change.
+    """
+
+    __slots__ = ("t0", "step_s", "batch", "steps", "cuttable")
+
+    def __init__(
+        self, t0: float, step_s: float, batch: int, steps: int, cuttable: bool
+    ) -> None:
+        self.t0 = t0
+        self.step_s = step_s
+        self.batch = batch
+        self.steps = steps
+        self.cuttable = cuttable
 
 
 def _fold(initial: float, values: np.ndarray) -> float:

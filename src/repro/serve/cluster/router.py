@@ -99,9 +99,18 @@ class Router:
         raise NotImplementedError
 
 
+def _load_keys(candidates: list[Replica]) -> list[tuple[int, int, Replica]]:
+    """``(load, index, replica)`` per candidate, each load read once.
+
+    Indices are unique, so ``min`` over these keys never compares
+    replicas and picks the smallest load, ties to the lowest index.
+    """
+    return [(r.load, r.index, r) for r in candidates]
+
+
 def _least_loaded(candidates: list[Replica]) -> Replica:
     """The candidate with the smallest load, ties to the lowest index."""
-    return min(candidates, key=lambda r: (r.load, r.index))
+    return min(_load_keys(candidates))[2]
 
 
 @register_router("round-robin")
@@ -155,13 +164,14 @@ class PrefixCacheAwareRouter(Router):
     """
 
     def _pick(self, request: Request, candidates: list[Replica]) -> Replica:
-        coldest = _least_loaded(candidates)
+        keys = _load_keys(candidates)
+        coldest = min(keys)
         if request.session is None or request.prefix_tokens <= 0:
-            return coldest
-        hits = [r for r in candidates if r.has_prefix(request.session)]
+            return coldest[2]
+        hits = [key for key in keys if key[2].has_prefix(request.session)]
         if not hits:
-            return coldest
-        best_hit = _least_loaded(hits)
-        if best_hit.load - coldest.load > PREFIX_HIT_LOAD_SLACK:
-            return coldest
-        return best_hit
+            return coldest[2]
+        best_hit = min(hits)
+        if best_hit[0] - coldest[0] > PREFIX_HIT_LOAD_SLACK:
+            return coldest[2]
+        return best_hit[2]

@@ -57,7 +57,12 @@ from repro.serve.cluster.disagg import (
 )
 from repro.serve.cluster.replica import Replica, ReplicaRole, ReplicaState
 from repro.serve.cluster.result import ClusterRecord, ClusterResult, ClusterSummary
-from repro.serve.cluster.router import DEFAULT_ROUTER_POLICY, Router, make_router
+from repro.serve.cluster.router import (
+    DEFAULT_ROUTER_POLICY,
+    Router,
+    _least_loaded,
+    make_router,
+)
 from repro.serve.constants import (  # noqa: F401  (historical import location)
     CLUSTER_QUEUE_DEPTH_COUNTER,
     CLUSTER_REPLICAS_COUNTER,
@@ -290,7 +295,7 @@ class _ClusterLoop:
         while self.pending and self.pending[0].arrival_s <= now:
             request = self.pending.popleft()
             target = self.router.route(request, self._route_pool())
-            target.queue.offer(request)
+            self._offer(target, request, now)
             routed = True
         if routed:
             self._observe_depth()
@@ -337,7 +342,7 @@ class _ClusterLoop:
         duration = transfer_time_s(kv_bytes, link)
         energy = transfer_energy_wh(kv_bytes)
         decode_pool = self._decode_pool()
-        target = min(decode_pool, key=lambda r: (r.load, r.index))
+        target = _least_loaded(decode_pool)
         self.transfers.append(
             KVTransfer(
                 request_index=index,
@@ -366,7 +371,15 @@ class _ClusterLoop:
             # ``offer`` records the shed in the decode replica's queue
             # when full, so conservation (completed + rejected ==
             # offered) holds without a second ledger here.
-            target.queue.offer(request)
+            self._offer(target, request, now)
+
+    def _offer(self, replica: Replica, request: Request, now: float) -> None:
+        """Queue one routed or delivered request on ``replica``.
+
+        The single point where a replica's queue gains work; the fast
+        loop hooks it to cut that replica's fused decode run.
+        """
+        replica.queue.offer(request)
 
     def _dispatch(self, now: float) -> None:
         for replica in self.replicas:

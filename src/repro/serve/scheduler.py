@@ -152,9 +152,10 @@ class ContinuousBatchScheduler:
     def steps_to_next_completion(self) -> int:
         """Decode steps until the earliest active sequence finishes.
 
-        The fast engine fuses that many steps into one run: batch
-        membership is provably constant until then (admissions only
-        happen at run boundaries, evictions only at completions).
+        The fast cluster engine fuses up to that many steps into one
+        run: batch membership is provably constant until then
+        (admissions only happen at run boundaries, evictions only at
+        completions).
         """
         if not self.active:
             raise ConfigError("no active sequences to step")

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign import batch as batch_module
 from repro.campaign.batch import (
+    STREAM_PLAN_SKIPPED_COUNTER,
     group_stream_batches,
     parse_operation,
     plan_streams,
@@ -13,6 +15,7 @@ from repro.campaign.batch import (
 )
 from repro.jube.runner import WorkItem
 from repro.jube.steps import Step
+from repro.obs.metrics import MetricsRegistry, set_metrics
 
 
 def serve_item(index: int = 0, **params) -> WorkItem:
@@ -83,6 +86,54 @@ class TestStreamSpecForItem:
     def test_unresolved_substitution_is_none(self):
         step = Step(name="serve", operations=("llm_serve --rate $missing",))
         assert stream_spec_for_item(WorkItem(step=step, parameters={}, index=0)) is None
+
+
+class TestStreamPlanSkips:
+    """Malformed items are skipped and counted; real bugs propagate."""
+
+    @pytest.fixture
+    def registry(self):
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        yield registry
+        set_metrics(previous)
+
+    @staticmethod
+    def skipped(registry, step="serve"):
+        return registry.counter(STREAM_PLAN_SKIPPED_COUNTER).value(step=step)
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            "llm_serve --requests 64",  # KeyError: no --rate
+            "llm_serve --rate fast",  # ValueError: not a number
+            "llm_serve --rate 8 'unclosed",  # ValueError: shlex
+            "llm_serve --rate $missing",  # JubeError: unresolved
+            "",  # IndexError: empty command
+            "llm_serve --rate 8 --requests 0",  # ConfigError: spec
+        ],
+        ids=["key", "value", "shlex", "jube", "index", "config"],
+    )
+    def test_malformed_operation_counts_one_skip(self, registry, operation):
+        step = Step(name="serve", operations=(operation,))
+        item = WorkItem(step=step, parameters={}, index=0)
+        assert stream_spec_for_item(item) is None
+        assert self.skipped(registry) == 1.0
+
+    def test_well_formed_items_count_nothing(self, registry):
+        assert stream_spec_for_item(serve_item()) is not None
+        assert stream_spec_for_item(toy_item()) is None
+        assert self.skipped(registry) == 0.0
+        assert self.skipped(registry, step="toy") == 0.0
+
+    def test_genuine_bug_propagates(self, registry, monkeypatch):
+        def broken(name, args):
+            raise TypeError("planning bug")
+
+        monkeypatch.setattr(batch_module, "_spec_from_args", broken)
+        with pytest.raises(TypeError, match="planning bug"):
+            stream_spec_for_item(serve_item())
+        assert self.skipped(registry) == 0.0
 
 
 class TestPlanStreams:
