@@ -40,6 +40,7 @@ from repro.campaign.batch import (
     run_batches,
     stream_spec_for_item,
 )
+from repro.campaign.frontier import frontier_rows, points_from_rows, recommend
 from repro.campaign.hashing import calibration_fingerprint
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec
@@ -527,15 +528,6 @@ class SearchRunner:
             exact_rows.extend(full_rows)
             report.rows.extend(full_rows)
             report.rows.extend(pruned_rows)
-
-        # Imported here, not at module top: repro.analysis pulls in the
-        # report (which itself runs a search), so a top-level import
-        # would be circular.
-        from repro.analysis.frontier import (
-            frontier_rows,
-            points_from_rows,
-            recommend,
-        )
 
         points = points_from_rows(exact_rows)
         report.frontier = frontier_rows(points)

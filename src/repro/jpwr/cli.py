@@ -21,6 +21,7 @@ the CLI additionally accepts:
 from __future__ import annotations
 
 import argparse
+import math
 import subprocess
 import sys
 
@@ -119,6 +120,24 @@ def _parse_load(spec: str) -> tuple[float, float]:
     return util, dur
 
 
+#: Relative slack when counting a load segment's samples, so a duration
+#: that is a whole number of intervals up to float error (1.1 s at
+#: 100 ms) takes no extra sliver sample.
+_SEGMENT_TOLERANCE = 1e-9
+
+
+def segment_sample_times(start: float, duration: float, interval: float) -> list[float]:
+    """Sample times of a ``duration``-second load segment.
+
+    The segment takes ``ceil(duration / interval)`` samples (within
+    :data:`_SEGMENT_TOLERANCE`): sample ``k`` at ``start + k * interval``,
+    computed from the index so no rounding accumulates, and the last one
+    exactly at the segment end.
+    """
+    count = max(1, math.ceil(duration / interval * (1.0 - _SEGMENT_TOLERANCE)))
+    return [start + k * interval for k in range(1, count)] + [start + duration]
+
+
 def run(argv: list[str] | None = None, *, stdout=None) -> int:
     """Entry point body; returns the process exit code."""
     out = stdout if stdout is not None else sys.stdout
@@ -159,12 +178,9 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
                 for util, duration in loads:
                     for dev in registry:
                         dev.set_utilisation(util)
-                    remaining = duration
-                    while remaining > 0:
-                        advance = min(step, remaining)
-                        clock.advance(advance)
+                    for t in segment_sample_times(clock.now(), duration, step):
+                        clock.advance_to(t)
                         scope.sample()
-                        remaining -= advance
                 for dev in registry:
                     dev.set_utilisation(0.0)
         else:

@@ -21,6 +21,15 @@ for GH200, where both pynvml and sysfs methods can be used").
 For deterministic virtual-time simulation, pass ``manual=True`` and a
 virtual ``clock``: no thread is started and the driver (the training
 engine) calls :meth:`MeasuredScope.sample` at each simulated step.
+Such a scope defers its sensor reads: a sample records its time and
+checks each device's health, and the reads are replayed in bulk, once
+per device, when the frame is needed (``df``, ``energy()``, ``stop()``)
+or a device is read directly.  The replay reproduces the eager reads
+byte for byte (see :mod:`repro.power.sensors`).  Reads stay eager under
+an active fault-injection scope (its seams are stateful and their
+provenance order is output), in threaded mode, when a device runs on
+another clock than the scope, and for a sample that finds a device
+unhealthy (pending reads are settled first).
 """
 
 from __future__ import annotations
@@ -28,13 +37,19 @@ from __future__ import annotations
 import math
 import threading
 import time
+from itertools import compress
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.errors import MeasurementError
+from repro.faults.injector import get_injector
 from repro.jpwr.energy import TIME_COLUMN, energy_frame
 from repro.jpwr.frame import DataFrame
 from repro.jpwr.methods.base import PowerMethod
 from repro.obs.log import get_logger
+from repro.power.sensors import DeferredReads, SimulatedDevice
+from repro.simcluster.clock import VirtualClock
 
 logger = get_logger(__name__)
 
@@ -46,7 +61,8 @@ class MeasuredScope:
     ----------
     df:
         Sample frame: ``time_s`` plus one power column per measured
-        quantity across all methods.
+        quantity across all methods.  Reading it replays any deferred
+        samples first, so it always holds every sample taken so far.
     interval_ms:
         Sampling period.
     """
@@ -71,12 +87,14 @@ class MeasuredScope:
         self.clock = clock
         self.manual = manual
         self.on_error = on_error
-        self.df = DataFrame()
+        self._df = DataFrame()
         self.dropped_samples = 0
-        self.anomalous_samples = 0
+        self._anomalous_samples = 0
         self._labels: list[str] = []
         #: Per method: its column labels in frame order, and as a set.
         self._method_labels: list[tuple[list[str], frozenset[str]]] = []
+        #: Log of deferred reads; None while samples read eagerly.
+        self._deferred: DeferredReads | None = None
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
@@ -96,7 +114,8 @@ class MeasuredScope:
                     raise MeasurementError(f"duplicate measurement label {label!r}")
                 self._labels.append(label)
             self._method_labels.append((labels, frozenset(labels)))
-        self.df = DataFrame([TIME_COLUMN, *self._labels])
+        self._df = DataFrame([TIME_COLUMN, *self._labels])
+        self._deferred = self._deferred_reads() if self.manual else None
         self.sample()  # one sample at scope entry, as the real tool does
         if not self.manual:
             self._stop.clear()
@@ -112,6 +131,8 @@ class MeasuredScope:
             self._thread.join()
             self._thread = None
         self.sample()
+        self._settle()
+        self._deferred = None
         if self.dropped_samples:
             logger.warning(
                 "dropped %d power samples to sensor read failures",
@@ -124,8 +145,20 @@ class MeasuredScope:
             )
         logger.debug(
             "measurement scope closed: %d samples, %d columns",
-            len(self.df), max(0, len(self.df.columns) - 1),
+            len(self._df), max(0, len(self._df.columns) - 1),
         )
+
+    @property
+    def df(self) -> DataFrame:
+        """The sample frame, with every deferred sample replayed."""
+        self._settle()
+        return self._df
+
+    @property
+    def anomalous_samples(self) -> int:
+        """Samples discarded for a non-finite power value."""
+        self._settle()
+        return self._anomalous_samples
 
     def _loop(self) -> None:
         period_s = self.interval_ms / 1000.0
@@ -148,8 +181,18 @@ class MeasuredScope:
         Values are appended by position in the column order fixed by
         :meth:`start`; a read whose keys differ from its method's
         labels raises :class:`MeasurementError`.
+
+        A scope with deferred reads only records the time here, unless
+        a fault-injection scope is active or a device is unhealthy:
+        then the pending reads are settled and this sample reads
+        eagerly.
         """
         now = self.clock()
+        deferred = self._deferred
+        if deferred is not None:
+            if not get_injector().enabled and deferred.record(now):
+                return
+            deferred.flush()
         try:
             readings = [method.read() for method in self.methods]
         except MeasurementError:
@@ -165,10 +208,74 @@ class MeasuredScope:
                 )
             values.extend(map(reading.__getitem__, labels))
         if not all(map(math.isfinite, values[1:])):
-            self.anomalous_samples += 1
+            self._anomalous_samples += 1
             return
         with self._lock:
-            self.df.append_values(values)
+            self._df.append_values(values)
+
+    # -- deferred reads ------------------------------------------------------
+
+    def _deferred_reads(self) -> DeferredReads | None:
+        """The read log of a scope that may defer, else None.
+
+        Deferral needs a virtual clock shared by every measured device
+        (a read then happens at its sample's time whenever it is
+        replayed) and methods whose :meth:`~PowerMethod.replay`
+        reproduces their reads.
+        """
+        if not isinstance(self.clock, VirtualClock):
+            return None
+        reads: dict[SimulatedDevice, int] = {}
+        for method in self.methods:
+            if not method.replayable:
+                return None
+            for _, device in method.channels():
+                if device.clock is not self.clock:
+                    return None
+                reads[device] = reads.get(device, 0) + 1
+        return DeferredReads(reads, self._append_replayed)
+
+    def _settle(self) -> None:
+        """Replay the pending deferred samples into the frame."""
+        if self._deferred is not None:
+            self._deferred.flush()
+
+    def _append_replayed(
+        self, times: list[float], powers: dict[SimulatedDevice, np.ndarray]
+    ) -> None:
+        """Append replayed samples: the bulk tail of :meth:`sample`.
+
+        Each method reads its channels' devices once per sample, in
+        method order, so method ``m``'s read of a device is that
+        device's next column in ``powers``.  Rows with a non-finite
+        value are discarded and counted, as in :meth:`sample`.
+        """
+        columns = [times]
+        taken: dict[SimulatedDevice, int] = {}
+        for method, (labels, label_set) in zip(self.methods, self._method_labels):
+            channel_powers = []
+            for _, device in method.channels():
+                column = taken.get(device, 0)
+                taken[device] = column + 1
+                channel_powers.append(powers[device][:, column])
+            replayed = method.replay(channel_powers)
+            if replayed.keys() != label_set:
+                raise MeasurementError(
+                    f"replay keys {sorted(replayed)} differ from labels {sorted(label_set)}"
+                )
+            columns.extend(map(replayed.__getitem__, labels))
+        finite = np.ones(len(times), dtype=bool)
+        for column in columns[1:]:
+            finite &= np.isfinite(column)
+        if not finite.all():
+            self._anomalous_samples += len(times) - int(finite.sum())
+            columns = [
+                list(compress(times, finite)),
+                *(column[finite] for column in columns[1:]),
+            ]
+        floats = [columns[0], *(column.tolist() for column in columns[1:])]
+        with self._lock:
+            self._df.extend_columns(floats)
 
     # -- results ---------------------------------------------------------------
 
@@ -179,8 +286,9 @@ class MeasuredScope:
         (one row, Wh per measured column) and a dict of additional
         DataFrames keyed by method-specific names.
         """
+        df = self.df  # settles deferred samples, which takes the lock
         with self._lock:
-            edf = energy_frame(self.df)
+            edf = energy_frame(df)
         additional: dict[str, DataFrame] = {}
         for method in self.methods:
             for key, frame in method.additional_data().items():

@@ -104,6 +104,23 @@ class DataFrame:
         for column, value in zip(self._columns.values(), values):
             column.append(float(value))
 
+    def extend_columns(self, columns: Sequence[Sequence[float]]) -> None:
+        """Append rows given column by column, in :attr:`columns` order.
+
+        The bulk counterpart of :meth:`append_values` for producers that
+        already hold Python floats (the jpwr scope appends replayed
+        samples this way); every column must carry the same number of
+        values.
+        """
+        if len(columns) != len(self._columns):
+            raise MeasurementError(
+                f"got {len(columns)} columns, frame has {len(self._columns)}"
+            )
+        if len({len(values) for values in columns}) > 1:
+            raise MeasurementError("appended columns have unequal lengths")
+        for column, values in zip(self._columns.values(), columns):
+            column.extend(values)
+
     # -- statistics --------------------------------------------------------------
 
     def mean(self, column: str) -> float:

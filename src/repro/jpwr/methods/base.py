@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.errors import MeasurementError
 from repro.hardware.accelerator import Vendor
 from repro.jpwr.frame import DataFrame
@@ -29,6 +31,16 @@ def quantize(value_w: float, scale: float) -> float:
     if not math.isfinite(value_w):
         return value_w
     return int(value_w * scale) / scale
+
+
+def quantize_array(values_w: np.ndarray, scale: float) -> np.ndarray:
+    """:func:`quantize` over an array, value for value.
+
+    For finite values ``np.trunc`` equals ``int()``, and ``+ 0.0`` turns
+    its ``-0.0`` into the ``0.0`` that ``int()`` gives; NaN and the
+    infinities pass through as in :func:`quantize`.
+    """
+    return np.trunc(values_w * scale) / scale + 0.0
 
 
 def set_active_registry(registry: DeviceRegistry | None) -> None:
@@ -102,6 +114,30 @@ class PowerMethod:
         reporting granularity."""
         scale = self.scale
         return {label: quantize(dev.read_power_w(), scale) for label, dev in self.channels()}
+
+    def replay(self, powers: list[np.ndarray]) -> dict[str, np.ndarray]:
+        """Columns of deferred reads: the array counterpart of :meth:`read`.
+
+        ``powers`` holds, per channel in :meth:`channels` order, the
+        device powers of the deferred reads (one per sample).  Returns
+        the labels :meth:`read` returns, each mapped to its column.
+        """
+        scale = self.scale
+        return {
+            label: quantize_array(power_w, scale)
+            for (label, _), power_w in zip(self.channels(), powers)
+        }
+
+    @property
+    def replayable(self) -> bool:
+        """Whether this method's reads may be deferred and replayed.
+
+        :meth:`replay` must reproduce :meth:`read`, which must read each
+        channel's device once; a subclass that overrides ``read()``
+        without ``replay()`` is always read eagerly.
+        """
+        cls = type(self)
+        return cls.read is PowerMethod.read or cls.replay is not PowerMethod.replay
 
     def additional_data(self) -> dict[str, DataFrame]:
         """Extra per-method DataFrames returned by ``scope.energy()``."""

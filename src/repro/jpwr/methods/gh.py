@@ -15,9 +15,11 @@ hwmon files do.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.hardware.accelerator import Vendor
 from repro.jpwr.frame import DataFrame
-from repro.jpwr.methods.base import PowerMethod, quantize
+from repro.jpwr.methods.base import PowerMethod, quantize, quantize_array
 from repro.power.sensors import SimulatedDevice
 
 
@@ -48,6 +50,14 @@ class GraceHopperMethod(PowerMethod):
             package_w = dev.read_power_w()
             out[label] = quantize(package_w, self.scale)
             out[f"gh_cpu{dev.index}"] = quantize(package_w * _CPU_SHARE, self.scale)
+        return out
+
+    def replay(self, powers: list[np.ndarray]) -> dict[str, np.ndarray]:
+        """Module and CPU rail columns of deferred reads, as :meth:`read`."""
+        out: dict[str, np.ndarray] = {}
+        for (label, dev), package_w in zip(self.channels(), powers):
+            out[label] = quantize_array(package_w, self.scale)
+            out[f"gh_cpu{dev.index}"] = quantize_array(package_w * _CPU_SHARE, self.scale)
         return out
 
     def additional_data(self) -> dict[str, DataFrame]:

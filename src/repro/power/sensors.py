@@ -10,12 +10,26 @@ rocm-smi / gcipuinfo / hwmon actually expose.
 Time comes from an injectable clock callable so the same sensor works
 under real time (``time.monotonic``, used by the jpwr sampling thread)
 and under the virtual clock of :mod:`repro.simcluster.clock`.
+
+Reads are eager by default: :meth:`SimulatedDevice.read` accrues the
+energy counter, draws the noise and consults the fault seams on the
+spot.  A virtual-clock jpwr scope may instead *defer* them to a
+:class:`DeferredReads` log, which records only the sample times; each
+device then logs its utilisation changes (sample index, time, power)
+instead of accruing, and :meth:`SimulatedDevice._replay` settles every
+deferred read of the device in one pass when the log is flushed.  The
+replay performs the eager arithmetic in the eager order -- one
+``e += p * dt`` step per read, only when ``dt > 0``, as a left fold
+(``np.cumsum``); one normal draw per read from the device's RNG; the
+clamp at 0 -- so a flushed device is bit-identical to one read eagerly.
+Any eager read of a deferred device flushes the log first.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from array import array
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -85,6 +99,13 @@ class SimulatedDevice:
         self._energy_j = 0.0
         self._last_update_s = self.clock()
         self.healthy = True
+        #: The log holding this device's deferred reads, None while eager.
+        self._deferred: DeferredReads | None = None
+        # While deferred: (energy, last update, power) when deferral
+        # began, and the utilisation changes since, flattened as
+        # (sample index, time, power) triples.
+        self._base = (0.0, 0.0, 0.0)
+        self._changes = array("d")
 
     @property
     def name(self) -> str:
@@ -98,14 +119,21 @@ class SimulatedDevice:
 
         Energy is accrued for the elapsed interval at the *previous*
         utilisation before switching, so the accumulated counter stays
-        exact no matter how often callers flip utilisation.
+        exact no matter how often callers flip utilisation.  While the
+        device's reads are deferred, the change is logged instead and
+        accrued at its own position when the reads are replayed.
         """
         if not 0.0 <= utilisation <= 1.0:
             raise ValueError(f"utilisation must be in [0,1], got {utilisation}")
         util = float(utilisation)
-        power_w = self.model.power(util)
+        # The model is pure: a repeated utilisation reuses its watts.
+        power_w = self._power_w if util == self._util else self.model.power(util)
         with self._lock:
-            self._accrue_locked()
+            deferred = self._deferred
+            if deferred is None:
+                self._accrue_locked()
+            else:
+                self._changes.extend((len(deferred.times), self.clock(), power_w))
             self._util = util
             self._power_w = power_w
 
@@ -131,8 +159,11 @@ class SimulatedDevice:
         real management libraries misbehave: ``sensor_dropout`` raises
         (the device fell off the bus), ``sensor_spike`` offsets the
         power (the paper's MI250 anomaly class), ``sensor_nan`` poisons
-        it (jpwr discards the sample as anomalous).
+        it (jpwr discards the sample as anomalous).  Deferred reads of
+        this device are replayed first.
         """
+        if self._deferred is not None:
+            self._deferred.flush()
         if not self.healthy:
             raise MeasurementError(f"{self.name}: sensor read failed")
         with self._lock:
@@ -175,6 +206,120 @@ class SimulatedDevice:
             self._energy_j += self._power_w * dt
             self._last_update_s = now
         return now
+
+    # -- deferred reads ----------------------------------------------------
+
+    def _defer_to(self, deferred: "DeferredReads") -> None:
+        """Start logging reads to ``deferred`` from the current state."""
+        if self._deferred is not None and self._deferred is not deferred:
+            self._deferred.flush()  # one pending log per device
+        with self._lock:
+            self._deferred = deferred
+            self._base = (self._energy_j, self._last_update_s, self._power_w)
+            self._changes = array("d")
+
+    def _replay(self, times: np.ndarray, reads: int) -> np.ndarray:
+        """Settle the deferred reads; returns their powers, shape ``(n, reads)``.
+
+        ``times`` holds the ``n`` deferred sample times and ``reads``
+        the reads per sample (two when two jpwr methods share the
+        device).  Row ``k`` holds the powers the eager :meth:`read`
+        calls of sample ``k`` would have returned, in read order; the
+        energy counter, its timestamp and the noise RNG end where those
+        reads would have left them.  The device reads eagerly again.
+        """
+        with self._lock:
+            energy_j, last_s, power_w = self._base
+            changes = np.frombuffer(self._changes).reshape(-1, 3)
+            self._deferred = None
+            self._changes = array("d")
+            n, c = len(times), len(changes)
+            at = changes[:, 0].astype(np.intp)
+            # Power in force before change j is powers[j]; a read sees
+            # the power of the last change logged at or before its sample.
+            powers = np.concatenate(([power_w], changes[:, 2]))
+            seen = np.searchsorted(at, np.arange(n), side="right")
+            read_w = powers[seen]
+            # The accrual steps in eager order: change j runs just
+            # before sample at[j]'s reads.  Only a sample's first read
+            # accrues; the others fall at the same instant (dt == 0).
+            step_t = np.empty(n + c)
+            step_w = np.empty(n + c)
+            change_pos = at + np.arange(c)
+            step_t[change_pos] = changes[:, 1]
+            step_w[change_pos] = powers[:-1]
+            sample_pos = np.arange(n) + seen
+            step_t[sample_pos] = times
+            step_w[sample_pos] = read_w
+            # The eager timestamp only moves forward (it updates when
+            # dt > 0), so before step i it is the running maximum.
+            last = np.maximum.accumulate(np.concatenate(([last_s], step_t)))
+            dt = step_t - last[:-1]
+            gained = np.where(dt > 0, step_w * dt, 0.0)
+            self._energy_j = float(np.cumsum(np.concatenate(([energy_j], gained)))[-1])
+            self._last_update_s = float(last[-1])
+            read_w = np.repeat(read_w[:, None], reads, axis=1)
+            if self.noise_fraction > 0:
+                z = self._rng.standard_normal((n, reads))  # = n * reads scalar draws
+                read_w *= 1.0 + self.noise_fraction * z
+                read_w = np.where(0.0 > read_w, 0.0, read_w)  # max(power, 0.0)
+            return read_w
+
+
+class DeferredReads:
+    """Sensor reads of several devices, recorded by time, replayed in bulk.
+
+    ``reads`` maps each device to its reads per sample, in the order the
+    samples take them.  :meth:`record` defers one sample: it stores the
+    time once for all devices.  :meth:`flush` replays every device's
+    deferred reads (:meth:`SimulatedDevice._replay`) and hands the
+    sample times (the recorded list, whose floats the caller may keep)
+    plus each device's read powers to ``sink``.  The
+    owner flushes before it reads a device eagerly; an eager read of a
+    deferred device flushes on its own.  Every :data:`BATCH_SAMPLES`
+    samples the log flushes itself, which bounds the replay's working
+    arrays however long the run.
+    """
+
+    #: Samples replayed per batch at most.
+    BATCH_SAMPLES = 4096
+
+    def __init__(
+        self,
+        reads: dict[SimulatedDevice, int],
+        sink: Callable[[list[float], dict[SimulatedDevice, np.ndarray]], None],
+    ) -> None:
+        self.reads = reads
+        self.sink = sink
+        self._devices = tuple(reads)
+        self.times: list[float] = []
+
+    def record(self, t: float) -> bool:
+        """Defer one sample taken at ``t``.
+
+        Returns False, recording nothing, when a device is unhealthy:
+        that sample must be read eagerly, as its read raises.
+        """
+        for device in self._devices:
+            if not device.healthy:
+                return False
+        if not self.times:
+            for device in self._devices:
+                device._defer_to(self)
+        self.times.append(t)
+        if len(self.times) >= self.BATCH_SAMPLES:
+            self.flush()
+        return True
+
+    def flush(self) -> None:
+        """Replay every deferred read and pass the results to the sink."""
+        if not self.times:
+            return
+        times = self.times
+        self.times = []
+        at = np.array(times)
+        powers = {device: device._replay(at, n) for device, n in self.reads.items()}
+        self.sink(times, powers)
 
 
 class DeviceRegistry:

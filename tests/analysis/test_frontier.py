@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from repro.analysis.frontier import (
+from repro.campaign.frontier import (
     FrontierPoint,
     dominates,
     frontier_rows,

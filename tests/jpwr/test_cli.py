@@ -84,6 +84,37 @@ class TestSyntheticLoad:
         assert energy(out_long) == pytest.approx(4 * energy(out_short), rel=0.02)
 
 
+class TestLoadSampleGrid:
+    """A load segment samples on its interval grid, with no sliver sample."""
+
+    def _times(self, tmp_path, *loads):
+        argv = ["--methods", "pynvml", "--df-out", str(tmp_path)]
+        for spec in loads:
+            argv += ["--load", spec]
+        code, _ = run_cli(argv)
+        assert code == 0
+        return read_frame(tmp_path / "power.csv")["time_s"]
+
+    def test_one_second_takes_ten_samples_on_the_grid(self, tmp_path):
+        times = self._times(tmp_path, "0.8:1")
+        # Entry sample, ten segment samples, exit sample.
+        assert times == [0.0, *(k * 0.1 for k in range(1, 10)), 1.0, 1.0]
+
+    def test_sample_count_is_the_ceiling_of_duration_over_interval(self, tmp_path):
+        times = self._times(tmp_path, "0.8:5", "0.3:1.1", "0.5:0.7", "0.2:0.25")
+        assert len(times) == 1 + 50 + 11 + 7 + 3 + 1
+        assert times[50] == 5.0
+        assert times[51] == 5.0 + 0.1
+        assert times[61] == 5.0 + 1.1
+        assert times[-2] == times[-1] == 5.0 + 1.1 + 0.7 + 0.25
+
+    def test_segment_times_come_from_the_index(self):
+        from repro.jpwr.cli import segment_sample_times
+
+        assert segment_sample_times(2.0, 0.3, 0.1) == [2.0 + 0.1, 2.0 + 2 * 0.1, 2.3]
+        assert segment_sample_times(0.0, 0.05, 0.1) == [0.05]
+
+
 class TestWrappedCommand:
     def test_wraps_real_command(self):
         code, output = run_cli(["--methods", "pynvml", "--", "true"])

@@ -16,11 +16,16 @@ import json
 
 import pytest
 
+from repro.engine.inference import InferenceEngine
 from repro.engine.trainer import PhaseRunner, jpwr_methods_for_node, measure_run
+from repro.errors import MeasurementError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, activate_injection
 from repro.hardware.systems import get_system
 from repro.jpwr.ctxmgr import get_power
+from repro.models.transformer import get_gpt_preset
 from repro.power.sensors import DeviceRegistry
+from repro.serve import PoissonArrivals
+from repro.serve.simulator import ServingSimulator
 from repro.simcluster.clock import VirtualClock
 
 #: (busy seconds, utilisation) phases of the fixed profile; the tail of
@@ -151,3 +156,129 @@ def test_measure_run_figures_are_pinned(tag):
         node, node.logical_devices_per_node, body
     )
     assert repr((elapsed, per_device_wh, mean_power)) == MEASURE_RUN_PINNED[tag]
+
+
+# -- scopes touched between samples -----------------------------------------
+
+
+def _scope_doc(scope, **extra) -> str:
+    energy_df, additional = scope.energy()
+    doc = {
+        "df": scope.df.to_json(),
+        "energy": energy_df.to_json(),
+        "additional": {k: v.to_json() for k, v in additional.items()},
+        "dropped": scope.dropped_samples,
+        "anomalous": scope.anomalous_samples,
+        **extra,
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _phases(clock, scope, devices, profile, sample):
+    for busy_s, util in profile:
+        for dev in devices:
+            dev.set_utilisation(util)
+        sample(scope)
+        clock.advance(busy_s)
+        sample(scope)
+
+
+def _mid_scope_digest(tag: str, case: str) -> str:
+    """A manual scope that is read, faulted or inspected between samples."""
+    node = get_system(tag)
+    clock = VirtualClock()
+    registry = DeviceRegistry.for_node(node, clock=clock, noise_fraction=0.02, seed=5)
+    devices = list(registry)
+    methods = jpwr_methods_for_node(node, registry)
+    on_error = "raise" if case == "fail-raise" else "skip"
+    errors: list[str] = []
+    seen: dict[str, object] = {}
+
+    def sample(scope):
+        try:
+            scope.sample()
+        except MeasurementError as exc:
+            errors.append(str(exc))
+
+    first, second = PROFILE[:12], PROFILE[12:]
+    with get_power(methods, 100.0, clock=clock, manual=True, on_error=on_error) as scope:
+        _phases(clock, scope, devices, first, sample)
+        if case == "df":
+            seen["mid_df"] = scope.df.to_json()
+            seen["mid_energy"] = scope.energy()[0].to_json()
+        elif case in ("fail-skip", "fail-raise"):
+            devices[-1].fail()
+            _phases(clock, scope, devices, PROFILE[:3], sample)
+            devices[-1].repair()
+        else:  # direct reads between samples
+            seen["reads"] = [
+                tuple(devices[0].read()),
+                devices[-1].read_energy_j(),
+                devices[0].read_power_w(),
+            ]
+        _phases(clock, scope, devices, second, sample)
+    return _scope_doc(scope, errors=errors, **seen)
+
+
+MID_SCOPE_CASES = ("df", "fail-skip", "fail-raise", "reads")
+
+#: Digests recorded before sensor reads were deferred.
+MID_SCOPE_PINNED = {
+    ("GC200", "df"):
+        "55832747c718ec997a6eb672ede06983db65bff50c43c0e270a62ba06379ba04",
+    ("GC200", "fail-skip"):
+        "d14bea3c414fffe6e6af03015a089adc43b9da3d8af6f14bfcb5fb2b971ccdd0",
+    ("GC200", "fail-raise"):
+        "6ec585996ccb8a18bc22ad3b42354206f6c9b82b062ca9ec0822a35ba393e457",
+    ("GC200", "reads"):
+        "0c159af8f96ee7067c68d17ff149764cb0372aacf4dbdfad0f9067bfb43187f3",
+    ("GH200", "df"):
+        "2274ff598a2087da3bd1acb8b3d0db3c1fc1288165bd3e5643f6ec121c29cc77",
+    ("GH200", "fail-skip"):
+        "72c1abc7068368177ea4463155f31d5701181cb676b4781d6eaf20fc3d2de598",
+    ("GH200", "fail-raise"):
+        "41649f991f0e275800a7dc8fa64730a6fe7aa62d6db1043e83650471b21142a0",
+    ("GH200", "reads"):
+        "b0f41a96d989da06b368fef3206aa2c3ab0816272733a898ceb0b59d57709204",
+    ("H100", "df"):
+        "7434a51a3a9502d0afae2ad39a5c01ae6cd99f09a29d0423c253a282a090fe18",
+    ("H100", "fail-skip"):
+        "185deaf4143360bfffebec534624fb91b1fcc7cf3a680f78b48c9f5521c51eca",
+    ("H100", "fail-raise"):
+        "8cb5a293945774a3e48972e1995b01abbb7c6cd4936329f13056500259994724",
+    ("H100", "reads"):
+        "8d2c007ed8de805dea76405676ff105bc10b9d67c123da872ab7e43ae89dda87",
+    ("MI250", "df"):
+        "7b04201ad8291f8879baabc2c5b615419e40e7fe03c3802ae9cccf046888a63a",
+    ("MI250", "fail-skip"):
+        "f3d34f289bff7828075f6e9554f2d375d777317cd2c683711e2c103625fe2438",
+    ("MI250", "fail-raise"):
+        "c911f352919d8190190830a7234b925222e0493192f0b800fa3024afa1aac2ec",
+    ("MI250", "reads"):
+        "a8ecf241021b4a3ba38a8a9cb932ae1559f6660352556db6ddec30aeb8c463a8",
+}
+
+
+@pytest.mark.parametrize("tag,case", sorted(MID_SCOPE_PINNED))
+def test_mid_scope_digest_is_pinned(tag, case):
+    assert _mid_scope_digest(tag, case) == MID_SCOPE_PINNED[(tag, case)]
+
+
+def _serve_digest(tag: str) -> str:
+    simulator = ServingSimulator(InferenceEngine(get_system(tag), get_gpt_preset("800M")))
+    served = simulator.run(PoissonArrivals(rate_per_s=20.0, requests=120, seed=4))
+    summary = repr(sorted(served.summary.to_dict().items()))
+    return hashlib.sha256((served.records_json() + summary).encode()).hexdigest()
+
+
+#: Single-engine serve digests recorded before sensor reads were deferred.
+SERVE_PINNED = {
+    "GH200": "22223f54157369b5efe3b4aa1b2a1602fdb19cc597e17864a2887d2abf7c28cb",
+    "H100": "6e7e55f0b1add094b77e642fae3a50c474cabeddba05e06a7bb43ba871d4aa79",
+    "MI250": "d1bd4e20c301a6c8c9356f5f32fd2d36dc4dccf25e53a789e85e28a98deb91d5",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SERVE_PINNED))
+def test_single_engine_serve_digest_is_pinned(tag):
+    assert _serve_digest(tag) == SERVE_PINNED[tag]
