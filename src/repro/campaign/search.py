@@ -151,7 +151,7 @@ def load_search_spec(path: str | Path) -> tuple[CampaignSpec, SearchPolicy]:
     """Load a campaign spec plus its ``search:`` policy from one YAML.
 
     The same file drives both ``campaign run`` (which ignores the
-    ``search`` section) and ``caraml search`` — so equivalence between
+    ``search`` section) and ``campaign search`` — so equivalence between
     the two modes can be checked on a single source of truth.
     """
     p = Path(path)

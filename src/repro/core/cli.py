@@ -12,7 +12,6 @@ Subcommands::
     caraml campaign status <spec.yaml>
     caraml campaign results <spec.yaml> [--format table|csv|jsonl]
     caraml campaign search <spec.yaml>       # pruned Pareto search
-    caraml search <spec.yaml>                # shorthand for the above
     caraml powercap frontier [--system S]    # cap sweep -> efficiency frontier
     caraml powercap schedule [--site jsc]    # energy-aware serve-cap schedule
     caraml powercap defer <spec.yaml>        # defer cache misses to green windows
@@ -84,11 +83,7 @@ def _capped_system(tag: str, power_cap_watts: float):
 
 
 def _add_campaign_verb_args(cp, verb: str) -> None:
-    """Arguments of one ``caraml campaign <verb>`` subcommand.
-
-    Shared between the ``campaign`` verb family and the top-level
-    ``caraml search`` shorthand, so both spell identically.
-    """
+    """Arguments of one ``caraml campaign <verb>`` subcommand."""
     cp.add_argument("spec", help="campaign spec YAML file")
     cp.add_argument(
         "--store",
@@ -385,12 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         cp = campaign_sub.add_parser(verb, help=help_text)
         _add_campaign_verb_args(cp, verb)
 
-    search = sub.add_parser(
-        "search",
-        help="shorthand for 'campaign search': pruned Pareto sweep search",
-    )
-    _add_campaign_verb_args(search, "search")
-
     powercap = sub.add_parser(
         "powercap",
         help="power-cap frontier sweeps and energy-aware scheduling",
@@ -569,7 +558,7 @@ def _run_campaign(args, out) -> int:
 
 
 def _run_campaign_search(args, out, spec, policy, store) -> int:
-    """The ``caraml [campaign] search`` subcommand body."""
+    """The ``caraml campaign search`` subcommand body."""
     from dataclasses import replace
 
     from repro.campaign import IsolatingExecutor, PoolExecutor
@@ -1133,10 +1122,6 @@ def run(argv: list[str] | None = None, *, stdout=None) -> int:
         return 0 if all(item.passed for item in items) else 1
 
     if args.command == "campaign":
-        return _run_campaign(args, out)
-
-    if args.command == "search":
-        args.campaign_command = "search"
         return _run_campaign(args, out)
 
     if args.command == "powercap":

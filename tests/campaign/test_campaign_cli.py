@@ -183,16 +183,21 @@ class TestSearchCli:
         assert "request budget:" in text
         assert store in text
 
-    def test_top_level_search_shorthand(self, serve_search_spec_path, tmp_path):
+    def test_min_keep_flag_overrides_spec(self, serve_search_spec_path, tmp_path):
         store = str(tmp_path / "rows.jsonl")
         code, text = invoke(
-            "search", str(serve_search_spec_path), "--store", store,
+            "campaign", "search", str(serve_search_spec_path), "--store", store,
             "--sequential", "--min-keep", "8",
         )
         assert code == 0
         # --min-keep 8 overrides the spec's search section: nothing prunes.
         assert "0 pruned" in text
         assert "8 run in full" in text
+
+    def test_top_level_search_alias_is_gone(self, serve_search_spec_path):
+        with pytest.raises(SystemExit) as exc:
+            invoke("search", str(serve_search_spec_path))
+        assert exc.value.code == 2
 
     def test_plain_run_ignores_search_section(self, serve_search_spec_path, tmp_path):
         store = str(tmp_path / "rows.jsonl")

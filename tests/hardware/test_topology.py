@@ -1,44 +1,13 @@
-"""Tests for intra-node topology graphs and NUMA distances."""
+"""Tests for intra-node NUMA distances and device affinity."""
 
 import pytest
 
 from repro.hardware.systems import get_system
 from repro.hardware.topology import (
     device_home_numa,
-    node_topology,
     numa_distance_matrix,
     numa_hops,
 )
-
-
-class TestTopologyGraph:
-    def test_a100_node_counts(self):
-        # 2 x EPYC-7742 (8 domains each) + 4 GPUs.
-        g = node_topology(get_system("A100"))
-        kinds = [d["kind"] for _, d in g.nodes(data=True)]
-        assert kinds.count("numa") == 16
-        assert kinds.count("device") == 4
-
-    def test_device_clique_carries_nvlink_bandwidth(self):
-        g = node_topology(get_system("A100"))
-        assert g.edges["dev0", "dev1"]["bandwidth"] == 600e9
-
-    def test_single_device_node_has_no_device_edges(self):
-        g = node_topology(get_system("GH200"))
-        dev_edges = [
-            e for e in g.edges(data=True) if e[2]["kind"] == "device-device"
-        ]
-        assert dev_edges == []
-
-    def test_every_device_attached_to_a_numa_domain(self):
-        for tag in ("A100", "MI250", "H100", "JEDI"):
-            g = node_topology(get_system(tag))
-            for n, data in g.nodes(data=True):
-                if data["kind"] == "device":
-                    homes = [
-                        v for v in g.neighbors(n) if g.nodes[v]["kind"] == "numa"
-                    ]
-                    assert len(homes) == 1
 
 
 class TestNumaDistances:
@@ -65,6 +34,15 @@ class TestNumaDistances:
         assert numa_hops(node, 2, 2) == 0
         assert numa_hops(node, 0, 3) == 1
         assert numa_hops(node, 0, 7) == 2
+
+    @pytest.mark.parametrize("domain", [-1, 16])
+    def test_out_of_range_domain_rejected(self, domain):
+        # A100: 2 sockets x 8 domains; -1 must not wrap to domain 15.
+        node = get_system("A100")
+        with pytest.raises(ValueError, match=r"A100.*16 domains"):
+            numa_hops(node, 0, domain)
+        with pytest.raises(ValueError, match=r"A100.*16 domains"):
+            numa_hops(node, domain, 0)
 
 
 class TestDeviceHomes:
